@@ -10,12 +10,12 @@ that path, operation for operation, so the perf suite can measure the
 
 * :func:`legacy_make_devices` — the seed ``make_devices``: one
   fancy-index shard copy and one ``Device`` object per entry.
-* :class:`PerObjectFedAvgServer` — ``FedAvgServer`` with the pre-fleet
-  ``run_round`` body: a fresh result allocation per device
+* :class:`PerObjectFedAvgServer` — ``FedAvgServer`` over a device *list*
+  with the pre-fleet round path: a Bernoulli draw over objects, object-side
+  availability filtering, a per-link transfer-time loop, and the pre-fleet
+  ``run_round`` body — a fresh result allocation per device
   (``theta.copy()``) plus a stack write, Python-loop sample counts and
-  round duration.  Built over a device *list*, the base server also takes
-  its legacy branches for selection, availability filtering and
-  transfer-time charging.
+  round duration.
 * :class:`NullTrainer` — a weights-in/weights-out stub shared by both
   sides of the round-orchestration benchmark, so the measured difference
   is exactly the device-layer round execution, never the (bit-identical)
@@ -28,8 +28,10 @@ import numpy as np
 
 from repro.baselines.fedavg import FedAvgServer
 from repro.core.aggregation import sample_weighted_average
+from repro.core.server import _AVAILABILITY_STREAM
 from repro.datasets.core import ClassificationDataset
 from repro.device.device import Device, LocalTrainer
+from repro.env.network import SERVER
 
 __all__ = ["NullTrainer", "PerObjectFedAvgServer", "legacy_make_devices"]
 
@@ -81,8 +83,61 @@ def legacy_make_devices(
     ]
 
 
+class _DeviceList(list):
+    """A device list carrying the population attributes the base server
+    reads at construction (shared trainer, unit times, storage mode)."""
+
+    def __init__(self, devices: list[Device]) -> None:
+        super().__init__(devices)
+        self.trainer = self[0].trainer
+        self.unit_times = np.array([d.unit_time for d in self], dtype=np.float64)
+        self.retain_history = True
+
+
 class PerObjectFedAvgServer(FedAvgServer):
-    """FedAvg with the pre-fleet per-object round body, op for op."""
+    """FedAvg with the pre-fleet per-object round path, op for op.
+
+    Draws the same rng streams as the fleet server (selection ``(round,
+    1)``, availability ``(round, 3)``), so the two runs are bit-identical.
+    """
+
+    def __init__(self, devices: list[Device], *args, **kwargs) -> None:
+        super().__init__(_DeviceList(devices), *args, **kwargs)
+
+    def select_participants(self, round_idx: int) -> list[Device]:
+        rng = self._seeds.generator(round_idx, 1)
+        p = self._participation
+        if p >= 1.0:
+            chosen = list(self.devices)
+        else:
+            mask = rng.random(len(self.devices)) < p
+            chosen = [d for d, m in zip(self.devices, mask) if m]
+            if not chosen:
+                chosen = [self.devices[rng.integers(len(self.devices))]]
+        if not self.env.availability.always_on:
+            arng = self._seeds.generator(round_idx, _AVAILABILITY_STREAM)
+            mask = self.env.availability.available_mask_ids(
+                round_idx,
+                np.array([d.device_id for d in chosen], dtype=np.intp),
+                np.array([d.unit_time for d in chosen], dtype=np.float64),
+                arng,
+            )
+            online = [d for d, up in zip(chosen, mask) if up]
+            if not online:
+                online = [chosen[int(arng.integers(len(chosen)))]]
+            self.unavailable_count += len(chosen) - len(online)
+            chosen = online
+        self._round_list = chosen
+        self._round_ids = None
+        return chosen
+
+    def _charge_transfer(self, devices: list[Device], model_units: float) -> None:
+        net = self.env.network
+        if net.is_instant or not devices:
+            return
+        t = max(net.transfer_time(SERVER, d.device_id, model_units) for d in devices)
+        if t > 0.0:
+            self.clock.advance_by(t)
 
     def run_round(
         self,

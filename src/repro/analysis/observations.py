@@ -24,6 +24,7 @@ from repro.core.clustering import cluster_by_capacity
 from repro.core.ring import build_ring
 from repro.datasets.core import ClassificationDataset
 from repro.device.device import Device
+from repro.device.fleet import DeviceFleet
 from repro.nn.serialization import set_flat_params
 from repro.simulation.engine import RingRoundEngine
 from repro.utils.rng import SeedSequenceFactory
@@ -118,7 +119,7 @@ def communication_mode_experiment(
 
 def ring_order_experiment(
     order: str,
-    devices: list[Device],
+    devices: DeviceFleet,
     test_set: ClassificationDataset,
     initial_weights: np.ndarray,
     rounds: int = 10,
@@ -153,7 +154,7 @@ def ring_order_experiment(
 
 def cluster_count_experiment(
     num_clusters: int,
-    devices: list[Device],
+    devices: DeviceFleet,
     test_set: ClassificationDataset,
     initial_weights: np.ndarray,
     rounds: int = 10,

@@ -272,10 +272,7 @@ class AsyncFederatedServer(FederatedServer):
         rng = self._seeds.generator(0, 1)
         if self.selection_policy is not None:
             return list(self.selection_policy.select(0, self.devices, rng))
-        if self.fleet is not None:
-            ids = self._bernoulli_ids(rng)
-            return list(map(self.fleet.device, np.asarray(ids).tolist()))
-        return self._bernoulli_devices(rng)
+        return list(map(self.fleet.device, self._bernoulli_ids(rng).tolist()))
 
     def _send_down(self, dev: Device) -> tuple[float | None, np.ndarray | None]:
         """Meter one server→device push of the current global model.
@@ -375,12 +372,10 @@ class AsyncFederatedServer(FederatedServer):
             self._start_model[dev_id], self._base_version[dev_id] = arrival
         else:
             self._start_model[dev_id] = self._own_model[dev_id]
+        unit_time = float(self._unit_times[dev_id])
         if not self._fault_machinery:
-            self.scheduler.at(
-                self.scheduler.now + self._unit_time[dev_id], UNIT_COMPLETE, dev_id
-            )
+            self.scheduler.at(self.scheduler.now + unit_time, UNIT_COMPLETE, dev_id)
             return
-        unit_time = self._unit_time[dev_id]
         slow = self.faults.unit_slowdown(dev_id, self._fault_rng)
         if slow != 1.0:
             self.resilience.injected_slowdowns += 1
@@ -411,7 +406,7 @@ class AsyncFederatedServer(FederatedServer):
                 start[dev_id], basev[dev_id] = arrival
             else:
                 start[dev_id] = own[dev_id]
-        times = self.scheduler.now + self._unit_time_of[ids]
+        times = self.scheduler.now + self._unit_times[ids]
         for t, group in _wave_groups(times, ids):
             if len(group) == 1:
                 self.scheduler.at(t, UNIT_COMPLETE, int(group[0]))
@@ -732,18 +727,9 @@ class AsyncFederatedServer(FederatedServer):
         epoch = ev.payload
         rng = self._seeds.generator(epoch, _AVAILABILITY_STREAM)
         cohort_ids = self._cohort_ids
-        if self.fleet is not None:
-            online_mask = self.env.online_mask_ids(
-                epoch, cohort_ids, self._unit_times[cohort_ids], rng
-            )
-        else:
-            online = self.env.available(epoch, self.cohort, rng)
-            online_set = {d.device_id for d in online}
-            online_mask = np.fromiter(
-                (d.device_id in online_set for d in self.cohort),
-                dtype=bool,
-                count=len(self.cohort),
-            )
+        online_mask = self.env.online_mask_ids(
+            epoch, cohort_ids, self._unit_times[cohort_ids], rng
+        )
         new_off = np.zeros(self._id_bound, dtype=bool)
         new_off[cohort_ids[~online_mask]] = True
         self.unavailable_count += int(len(cohort_ids) - online_mask.sum())
@@ -804,7 +790,6 @@ class AsyncFederatedServer(FederatedServer):
         self._cohort_ids = np.asarray(ids, dtype=np.intp)
         self._all_ids = set(ids)
         self._by_id = {d.device_id: d for d in self.cohort}
-        self._unit_time = {d.device_id: d.unit_time for d in self.cohort}
         self._start_model: dict[int, np.ndarray] = {}
         self._base_version = {i: 0 for i in ids}
         self._own_model = {i: self.global_weights for i in ids}
@@ -817,17 +802,10 @@ class AsyncFederatedServer(FederatedServer):
         self._offline_mask = np.zeros(self._id_bound, dtype=bool)
         self._parked_mask = np.zeros(self._id_bound, dtype=bool)
         self._parked_mask[self._cohort_ids] = True
-        if self.fleet is not None:
-            self._unit_time_of = np.asarray(self._unit_times, dtype=np.float64)
-        else:
-            ut = np.zeros(self._id_bound, dtype=np.float64)
-            for i in ids:
-                ut[i] = self._unit_time[i]
-            self._unit_time_of = ut
         self._churn_period = (
             cfg.churn_period
             if cfg.churn_period is not None
-            else float(max(self._unit_time.values()))
+            else float(self._unit_times[self._cohort_ids].max())
         )
 
         # Fault-tolerance state.  The containers exist unconditionally (so

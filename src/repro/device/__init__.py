@@ -12,7 +12,7 @@ settings map directly:
   (:func:`~repro.device.heterogeneity.heterogeneity_ratio`).
 """
 
-from repro.device.device import Device, LocalTrainer, make_devices
+from repro.device.device import Device, LocalTrainer
 from repro.device.fleet import DeviceFleet, FleetDevice, FleetState, make_fleet
 from repro.device.heterogeneity import (
     heterogeneity_ratio,
@@ -28,7 +28,6 @@ __all__ = [
     "FleetDevice",
     "FleetState",
     "LocalTrainer",
-    "make_devices",
     "make_fleet",
     "sample_unit_counts",
     "unit_times_from_counts",

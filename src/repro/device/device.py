@@ -16,7 +16,7 @@ from repro.nn.models import Sequential
 from repro.nn.serialization import num_params
 from repro.utils.rng import SeedSequenceFactory
 
-__all__ = ["LocalTrainer", "Device", "make_devices"]
+__all__ = ["LocalTrainer", "Device"]
 
 
 class LocalTrainer:
@@ -309,25 +309,3 @@ class Device:
         self.buffer.clear()
         self.buffer.append(new_weights)
         return new_weights
-
-
-def make_devices(
-    dataset: ClassificationDataset,
-    parts: list[np.ndarray],
-    unit_times: np.ndarray,
-    trainer: LocalTrainer,
-) -> list[Device]:
-    """Assemble one :class:`Device` per partition entry."""
-    if len(parts) != len(unit_times):
-        raise ValueError(
-            f"parts ({len(parts)}) and unit_times ({len(unit_times)}) disagree"
-        )
-    return [
-        Device(
-            device_id=i,
-            shard=dataset.subset(idx, name=f"{dataset.name}/dev{i}"),
-            unit_time=float(unit_times[i]),
-            trainer=trainer,
-        )
-        for i, idx in enumerate(parts)
-    ]

@@ -22,7 +22,9 @@ Two storage modes, chosen by the server from the environment:
   with the set of ever-active devices, which is inherent: state someone
   may still read cannot be recycled.
 
-The existing :class:`~repro.device.device.Device` contract survives as
+The fleet is the one population type: every server, the ring engine and
+the environment's availability queries run on it, addressing devices by
+id.  The :class:`~repro.device.device.Device` contract survives as
 :class:`FleetDevice`, a thin row-view facade (built lazily, cached), so
 the ring engine's ``run_unit`` choreography and all method code keep
 their shape.
@@ -225,8 +227,16 @@ class DeviceFleet:
         return (self.device(i) for i in range(self.num_devices))
 
     def device(self, device_id: int) -> "FleetDevice":
-        """The (cached) row-view facade for one device."""
+        """The (cached) row-view facade for one device.
+
+        Ids are exact, never Python-style negative indices: ``-1`` is no
+        device, so it raises instead of aliasing the last slot.
+        """
         device_id = int(device_id)
+        if not 0 <= device_id < self.num_devices:
+            raise IndexError(
+                f"device id {device_id} out of range for {self.num_devices} devices"
+            )
         facade = self._facades[device_id]
         if facade is None:
             facade = FleetDevice(self, device_id)
@@ -433,6 +443,5 @@ def make_fleet(
     trainer: LocalTrainer,
     name: str | None = None,
 ) -> DeviceFleet:
-    """Assemble the struct-of-arrays fleet (the :func:`make_devices`
-    replacement used by :func:`repro.experiments.build_experiment`)."""
+    """Assemble the struct-of-arrays device population."""
     return DeviceFleet(dataset, parts, unit_times, trainer, name=name)

@@ -449,7 +449,7 @@ def build_experiment(
         server.transport.bind(server, spec)
     # Batched engine last: it snapshots the trainer/fleet pair, which is
     # final by now.  "auto" degrades silently to sequential when the model
-    # or population cannot batch (CNNs, per-object device lists).
+    # cannot batch (CNNs, custom layers).
     server.set_device_batching(spec.device_batching)
     return server
 

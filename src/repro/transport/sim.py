@@ -52,10 +52,10 @@ class SimTransport(Transport):
         The FedAvg-family inner loop.  With live fleet rows the loop runs
         straight against the trainer — shard slices and stream keys come
         from fleet arrays, no facade attribute chasing, and the trained
-        vector lands in the device's registered row — which is where the
-        per-object path spent its per-device time.  Otherwise the
-        classic ``run_unit`` choreography keeps every Device contract
-        intact (including the ``weights`` snapshot for drop-fallback).
+        vector lands in the device's registered row.  Otherwise (retained
+        storage under lossy channels) the classic ``run_unit``
+        choreography keeps every Device contract intact (including the
+        ``weights`` snapshot for drop-fallback).
 
         When the server carries a :class:`~repro.device.batched.BatchedTrainer`
         (``device_batching="auto"`` on a batchable model), the whole round

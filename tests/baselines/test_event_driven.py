@@ -211,24 +211,24 @@ class TestFedBuff:
             finals[decay] = srv.fit(initial_weights=w0).final_weights
         assert not np.allclose(finals["constant"], finals["polynomial"])
 
-    def test_runs_on_fleet(self, tiny_fleet, tiny_split):
+    def test_runs_on_fleet(self, tiny_devices, tiny_split):
         _, test_set = tiny_split
         result = FedBuffServer(
-            tiny_fleet, test_set,
+            tiny_devices, test_set,
             FedBuffConfig(rounds=4, local_epochs=1, buffer_goal=3, seed=0),
             env=make_environment("churn"),
         ).fit()
         assert len(result.history.rounds) > 0
 
-    def test_partial_participation_cohort(self, tiny_fleet, tiny_split):
+    def test_partial_participation_cohort(self, tiny_devices, tiny_split):
         _, test_set = tiny_split
         srv = FedBuffServer(
-            tiny_fleet, test_set,
+            tiny_devices, test_set,
             FedBuffConfig(rounds=3, local_epochs=1, buffer_goal=2,
                           participation=0.5, seed=0),
         )
         srv.fit()
-        assert 1 <= len(srv.cohort) <= len(tiny_fleet)
+        assert 1 <= len(srv.cohort) <= len(tiny_devices)
 
 
 class TestSpecIntegration:

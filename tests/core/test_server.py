@@ -44,16 +44,6 @@ class TestFederatedServer:
         with pytest.raises(ValueError):
             EchoServer([], test_set)
 
-    def test_shared_trainer_enforced(self, tiny_devices, tiny_split):
-        _, test_set = tiny_split
-        from repro.device.device import LocalTrainer
-        from repro.nn.models import paper_mlp
-
-        other = LocalTrainer(paper_mlp(12, 4, seed=9, hidden=(4, 3)))
-        tiny_devices[0].trainer = other
-        with pytest.raises(ValueError):
-            EchoServer(tiny_devices, test_set)
-
     def test_full_participation_selects_all(self, tiny_devices, tiny_split):
         _, test_set = tiny_split
         srv = EchoServer(tiny_devices, test_set, ServerConfig(participation=1.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.core import ClassificationDataset
-from repro.device.device import Device, LocalTrainer, make_devices
+from repro.device.device import Device, LocalTrainer
 from repro.nn.models import paper_mlp
 from repro.nn.serialization import get_flat_params
 
@@ -142,19 +142,3 @@ class TestDevice:
         empty = shard.subset(np.empty(0, dtype=np.intp))
         with pytest.raises(ValueError):
             Device(0, empty, 1.0, trainer)
-
-
-class TestMakeDevices:
-    def test_builds_fleet(self, trainer):
-        rng = np.random.default_rng(0)
-        ds = ClassificationDataset(rng.normal(size=(30, 6)), rng.integers(0, 3, 30), 3)
-        parts = [np.arange(0, 10), np.arange(10, 20), np.arange(20, 30)]
-        devs = make_devices(ds, parts, np.array([1.0, 0.5, 0.25]), trainer)
-        assert [d.device_id for d in devs] == [0, 1, 2]
-        assert [d.num_samples for d in devs] == [10, 10, 10]
-        assert devs[2].unit_time == 0.25
-
-    def test_length_mismatch_raises(self, trainer):
-        ds = ClassificationDataset(np.zeros((4, 6)), np.zeros(4, dtype=int), 2)
-        with pytest.raises(ValueError):
-            make_devices(ds, [np.arange(4)], np.array([1.0, 2.0]), trainer)

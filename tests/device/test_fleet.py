@@ -6,10 +6,10 @@ import pytest
 from repro.datasets.core import ClassificationDataset
 from repro.datasets.partition import dirichlet_partition
 from repro.device import (
+    Device,
     DeviceFleet,
     FleetDevice,
     FleetState,
-    make_devices,
     make_fleet,
     unit_times_from_counts,
 )
@@ -20,6 +20,12 @@ def _parts(train_set):
     return dirichlet_partition(train_set, 8, beta=0.5, seed=5, min_samples=2)
 
 
+def _standalone(train_set, parts, times, trainer, i):
+    """Device ``i`` as a standalone object over its own shard copy."""
+    shard = train_set.subset(parts[i], name=f"{train_set.name}/dev{i}")
+    return Device(i, shard, float(times[i]), trainer)
+
+
 class TestConstruction:
     def test_shards_match_per_object_subsets(self, tiny_split, tiny_trainer):
         """One gathered block slices into exactly the per-device copies."""
@@ -27,24 +33,20 @@ class TestConstruction:
         parts = _parts(train_set)
         times = unit_times_from_counts(np.array([1, 2, 4, 1, 2, 4, 1, 2]))
         fleet = make_fleet(train_set, parts, times, tiny_trainer)
-        devices = make_devices(train_set, parts, times, tiny_trainer)
-        for dev in devices:
-            shard = fleet.shard(dev.device_id)
-            np.testing.assert_array_equal(shard.x, dev.shard.x)
-            np.testing.assert_array_equal(shard.y, dev.shard.y)
-            assert shard.name == dev.shard.name
-        np.testing.assert_array_equal(
-            fleet.num_samples, [d.num_samples for d in devices]
-        )
-        np.testing.assert_array_equal(
-            fleet.unit_times, [d.unit_time for d in devices]
-        )
+        for i, idx in enumerate(parts):
+            want = train_set.subset(idx, name=f"{train_set.name}/dev{i}")
+            shard = fleet.shard(i)
+            np.testing.assert_array_equal(shard.x, want.x)
+            np.testing.assert_array_equal(shard.y, want.y)
+            assert shard.name == want.name
+        np.testing.assert_array_equal(fleet.num_samples, [len(p) for p in parts])
+        np.testing.assert_array_equal(fleet.unit_times, times)
 
-    def test_shards_are_views_and_cached(self, tiny_fleet):
-        shard = tiny_fleet.shard(3)
-        assert shard.x.base is tiny_fleet.x
-        assert tiny_fleet.shard(3) is shard
-        assert tiny_fleet.device(3).shard is shard
+    def test_shards_are_views_and_cached(self, tiny_devices):
+        shard = tiny_devices.shard(3)
+        assert shard.x.base is tiny_devices.x
+        assert tiny_devices.shard(3) is shard
+        assert tiny_devices.device(3).shard is shard
 
     def test_length_mismatch_raises(self, tiny_split, tiny_trainer):
         train_set, _ = tiny_split
@@ -65,27 +67,27 @@ class TestConstruction:
 
 
 class TestLazyMaterialization:
-    def test_idle_devices_cost_nothing(self, tiny_fleet):
-        assert tiny_fleet.materialized_rows == 0
-        assert tiny_fleet.state_nbytes == 0
-        assert all(f is None for f in tiny_fleet._facades)
-        assert tiny_fleet.weights_row(0) is None
-        assert tiny_fleet.device(0).weights is None
+    def test_idle_devices_cost_nothing(self, tiny_devices):
+        assert tiny_devices.materialized_rows == 0
+        assert tiny_devices.state_nbytes == 0
+        assert all(f is None for f in tiny_devices._facades)
+        assert tiny_devices.weights_row(0) is None
+        assert tiny_devices.device(0).weights is None
 
-    def test_facades_cached_and_lazy(self, tiny_fleet):
-        dev = tiny_fleet.device(2)
+    def test_facades_cached_and_lazy(self, tiny_devices):
+        dev = tiny_devices.device(2)
         assert isinstance(dev, FleetDevice)
-        assert tiny_fleet.device(2) is dev
-        assert tiny_fleet[2] is dev
-        built = sum(1 for f in tiny_fleet._facades if f is not None)
+        assert tiny_devices.device(2) is dev
+        assert tiny_devices[2] is dev
+        built = sum(1 for f in tiny_devices._facades if f is not None)
         assert built == 1
 
-    def test_set_weights_materializes_one_row(self, tiny_fleet):
-        dim = tiny_fleet.dim
-        tiny_fleet.set_weights(5, np.arange(dim, dtype=np.float64))
-        assert tiny_fleet.materialized_rows == 1
-        np.testing.assert_array_equal(tiny_fleet.weights_row(5), np.arange(dim))
-        assert tiny_fleet.state_nbytes == dim * 8
+    def test_set_weights_materializes_one_row(self, tiny_devices):
+        dim = tiny_devices.dim
+        tiny_devices.set_weights(5, np.arange(dim, dtype=np.float64))
+        assert tiny_devices.materialized_rows == 1
+        np.testing.assert_array_equal(tiny_devices.weights_row(5), np.arange(dim))
+        assert tiny_devices.state_nbytes == dim * 8
 
 
 class TestFacadeContract:
@@ -95,27 +97,27 @@ class TestFacadeContract:
         parts = _parts(train_set)
         times = unit_times_from_counts(np.array([1, 2, 4, 1, 2, 4, 1, 2]))
         fleet = make_fleet(train_set, parts, times, tiny_trainer)
-        devices = make_devices(train_set, parts, times, tiny_trainer)
+        device = _standalone(train_set, parts, times, tiny_trainer, 3)
         w0 = get_flat_params(tiny_trainer.model)
         out_fleet = fleet.device(3).run_unit(w0, epochs=2, round_idx=1, unit_idx=0)
-        out_obj = devices[3].run_unit(w0, epochs=2, round_idx=1, unit_idx=0)
+        out_obj = device.run_unit(w0, epochs=2, round_idx=1, unit_idx=0)
         np.testing.assert_array_equal(out_fleet, out_obj)
         np.testing.assert_array_equal(fleet.device(3).weights, out_obj)
 
-    def test_run_unit_out_row_skips_sync_copy(self, tiny_fleet, tiny_trainer):
+    def test_run_unit_out_row_skips_sync_copy(self, tiny_devices, tiny_trainer):
         w0 = get_flat_params(tiny_trainer.model)
-        tiny_fleet.retain_history = False
-        rows = tiny_fleet.round_matrix([3])
-        out = tiny_fleet.device(3).run_unit(
+        tiny_devices.retain_history = False
+        rows = tiny_devices.round_matrix([3])
+        out = tiny_devices.device(3).run_unit(
             w0, epochs=1, round_idx=0, unit_idx=0, out=rows[0], sync=False
         )
         assert np.shares_memory(out, rows)
-        np.testing.assert_array_equal(tiny_fleet.device(3).weights, out)
+        np.testing.assert_array_equal(tiny_devices.device(3).weights, out)
 
-    def test_buffer_choreography(self, tiny_fleet, tiny_trainer):
-        dev = tiny_fleet.device(1)
+    def test_buffer_choreography(self, tiny_devices, tiny_trainer):
+        dev = tiny_devices.device(1)
         w0 = get_flat_params(tiny_trainer.model)
-        dev.receive(np.ones(tiny_fleet.dim))
+        dev.receive(np.ones(tiny_devices.dim))
         dev.reset_buffer(w0)
         assert len(dev.buffer) == 1
         out = dev.train_unit(1, round_idx=0, unit_idx=0)
@@ -130,10 +132,10 @@ class TestMutationSafety:
     the hazard the per-object path documents as a borrow contract.
     """
 
-    def test_fleet_weights_survive_caller_mutation(self, tiny_fleet):
-        dim = tiny_fleet.dim
+    def test_fleet_weights_survive_caller_mutation(self, tiny_devices):
+        dim = tiny_devices.dim
         global_weights = np.ones(dim)
-        dev = tiny_fleet.device(0)
+        dev = tiny_devices.device(0)
         dev.reset_buffer(global_weights)
         global_weights *= 1e9  # server misbehaves after handing over
         np.testing.assert_array_equal(dev.weights, np.ones(dim))
@@ -141,77 +143,74 @@ class TestMutationSafety:
     def test_standalone_device_borrows(self, tiny_split, tiny_trainer):
         """The per-object Device aliases (documented borrow, no copy)."""
         train_set, _ = tiny_split
-        devices = make_devices(
-            train_set, _parts(train_set),
-            np.ones(8), tiny_trainer,
-        )
+        device = _standalone(train_set, _parts(train_set), np.ones(8), tiny_trainer, 0)
         w = np.ones(tiny_trainer.dim)
-        devices[0].reset_buffer(w)
-        assert devices[0].weights is w
+        device.reset_buffer(w)
+        assert device.weights is w
 
-    def test_buffered_array_is_never_mutated(self, tiny_fleet, tiny_trainer):
+    def test_buffered_array_is_never_mutated(self, tiny_devices, tiny_trainer):
         """Training must not write into a borrowed buffer entry."""
         w0 = get_flat_params(tiny_trainer.model)
         keep = w0.copy()
-        dev = tiny_fleet.device(2)
+        dev = tiny_devices.device(2)
         dev.reset_buffer(w0)
         dev.train_unit(1, round_idx=0, unit_idx=0)
         np.testing.assert_array_equal(w0, keep)
 
 
 class TestRoundMatrix:
-    def test_requires_recycle_mode(self, tiny_fleet):
-        assert tiny_fleet.retain_history  # safe default
+    def test_requires_recycle_mode(self, tiny_devices):
+        assert tiny_devices.retain_history  # safe default
         with pytest.raises(RuntimeError, match="retain_history"):
-            tiny_fleet.round_matrix([0, 1])
+            tiny_devices.round_matrix([0, 1])
 
-    def test_rows_are_registered_views(self, tiny_fleet):
-        tiny_fleet.retain_history = False
-        rows = tiny_fleet.round_matrix([4, 1])
+    def test_rows_are_registered_views(self, tiny_devices):
+        tiny_devices.retain_history = False
+        rows = tiny_devices.round_matrix([4, 1])
         rows[0] = 7.0
         rows[1] = 9.0
-        np.testing.assert_array_equal(tiny_fleet.weights_row(4), rows[0])
-        np.testing.assert_array_equal(tiny_fleet.weights_row(1), rows[1])
-        assert tiny_fleet.weights_row(0) is None
+        np.testing.assert_array_equal(tiny_devices.weights_row(4), rows[0])
+        np.testing.assert_array_equal(tiny_devices.weights_row(1), rows[1])
+        assert tiny_devices.weights_row(0) is None
 
-    def test_arena_recycles_and_bounds_memory(self, tiny_fleet):
-        tiny_fleet.retain_history = False
-        dim = tiny_fleet.dim
-        tiny_fleet.round_matrix([0, 1, 2])
-        first = tiny_fleet.state_nbytes
+    def test_arena_recycles_and_bounds_memory(self, tiny_devices):
+        tiny_devices.retain_history = False
+        dim = tiny_devices.dim
+        tiny_devices.round_matrix([0, 1, 2])
+        first = tiny_devices.state_nbytes
         assert first == 3 * dim * 8
-        tiny_fleet.round_matrix([3, 4])  # smaller round reuses the arena
-        assert tiny_fleet.state_nbytes == first
-        assert tiny_fleet.weights_row(0) is None  # recycled away
-        assert tiny_fleet.materialized_rows == 2
+        tiny_devices.round_matrix([3, 4])  # smaller round reuses the arena
+        assert tiny_devices.state_nbytes == first
+        assert tiny_devices.weights_row(0) is None  # recycled away
+        assert tiny_devices.materialized_rows == 2
 
-    def test_stale_standalone_row_cleared(self, tiny_fleet):
-        tiny_fleet.set_weights(2, np.zeros(tiny_fleet.dim))
-        tiny_fleet.retain_history = False
-        rows = tiny_fleet.round_matrix([2])
+    def test_stale_standalone_row_cleared(self, tiny_devices):
+        tiny_devices.set_weights(2, np.zeros(tiny_devices.dim))
+        tiny_devices.retain_history = False
+        rows = tiny_devices.round_matrix([2])
         rows[0] = 5.0
-        np.testing.assert_array_equal(tiny_fleet.weights_row(2), rows[0])
-        tiny_fleet.round_matrix([3])
-        assert tiny_fleet.weights_row(2) is None  # not the stale zeros
+        np.testing.assert_array_equal(tiny_devices.weights_row(2), rows[0])
+        tiny_devices.round_matrix([3])
+        assert tiny_devices.weights_row(2) is None  # not the stale zeros
 
-    def test_stack_weights_zero_copy_for_registered_round(self, tiny_fleet):
-        tiny_fleet.retain_history = False
-        rows = tiny_fleet.round_matrix([2, 6, 4])
+    def test_stack_weights_zero_copy_for_registered_round(self, tiny_devices):
+        tiny_devices.retain_history = False
+        rows = tiny_devices.round_matrix([2, 6, 4])
         rows[:] = 3.0
-        stacked = tiny_fleet.stack_weights([2, 6, 4])
-        assert np.shares_memory(stacked, tiny_fleet._arena)
+        stacked = tiny_devices.stack_weights([2, 6, 4])
+        assert np.shares_memory(stacked, tiny_devices._arena)
         np.testing.assert_array_equal(stacked, rows)
 
-    def test_stack_weights(self, tiny_fleet):
-        tiny_fleet.retain_history = False
-        rows = tiny_fleet.round_matrix([1, 5])
+    def test_stack_weights(self, tiny_devices):
+        tiny_devices.retain_history = False
+        rows = tiny_devices.round_matrix([1, 5])
         rows[0] = 1.0
         rows[1] = 2.0
-        stacked = tiny_fleet.stack_weights([5, 1])
+        stacked = tiny_devices.stack_weights([5, 1])
         np.testing.assert_array_equal(stacked[0], rows[1])
         np.testing.assert_array_equal(stacked[1], rows[0])
         with pytest.raises(ValueError, match="no weights"):
-            tiny_fleet.stack_weights([0])
+            tiny_devices.stack_weights([0])
 
 
 class TestFleetState:
@@ -253,14 +252,26 @@ class TestFleetState:
 
 
 class TestPopulationProtocol:
-    def test_len_iter_getitem(self, tiny_fleet):
-        assert len(tiny_fleet) == 8
-        devs = list(tiny_fleet)
+    def test_len_iter_getitem(self, tiny_devices):
+        assert len(tiny_devices) == 8
+        devs = list(tiny_devices)
         assert [d.device_id for d in devs] == list(range(8))
         assert all(isinstance(d, FleetDevice) for d in devs)
 
-    def test_make_fleet_returns_device_fleet(self, tiny_fleet):
-        assert isinstance(tiny_fleet, DeviceFleet)
+    def test_make_fleet_returns_device_fleet(self, tiny_devices):
+        assert isinstance(tiny_devices, DeviceFleet)
+
+    @pytest.mark.parametrize("bad", [-1, -8, 8, 100])
+    def test_out_of_range_id_raises(self, tiny_devices, bad):
+        """Ids are exact: ``fleet[-1]`` is no device.  It used to build a
+        facade with ``device_id == -1`` cached in the last slot, so the
+        last device then trained on the stream key of device -1."""
+        with pytest.raises(IndexError, match="out of range"):
+            tiny_devices.device(bad)
+        with pytest.raises(IndexError):
+            tiny_devices[bad]
+        assert all(f is None for f in tiny_devices._facades)
+        assert tiny_devices.device(7).device_id == 7
 
 
 class TestSharedZeroDataset:

@@ -11,22 +11,17 @@ from repro.env.availability import (
 )
 
 
-class _Dev:
-    def __init__(self, device_id, unit_time=1.0):
-        self.device_id = device_id
-        self.unit_time = unit_time
-
-
 def fleet(n=6, times=None):
-    times = times if times is not None else [1.0] * n
-    return [_Dev(i, t) for i, t in enumerate(times)]
+    """``(device_ids, unit_times)`` of an ``n``-device population."""
+    times = np.asarray(times if times is not None else [1.0] * n, dtype=float)
+    return np.arange(len(times), dtype=np.intp), times
 
 
 class TestAlwaysOn:
     def test_everyone_online_without_rng(self):
         model = AlwaysOn()
         assert model.always_on
-        mask = model.available_mask(1, fleet(4), rng=None)  # rng untouched
+        mask = model.available_mask_ids(1, *fleet(4), rng=None)  # rng untouched
         assert mask.all() and len(mask) == 4
 
 
@@ -39,20 +34,20 @@ class TestBernoulli:
 
     def test_full_up_prob_never_draws(self):
         model = BernoulliAvailability(up_prob=1.0)
-        assert model.available_mask(1, fleet(5), rng=None).all()
+        assert model.available_mask_ids(1, *fleet(5), rng=None).all()
 
     def test_rate_roughly_matches(self):
         model = BernoulliAvailability(up_prob=0.3)
         rng = np.random.default_rng(0)
         total = sum(
-            model.available_mask(r, fleet(10), rng).sum() for r in range(200)
+            model.available_mask_ids(r, *fleet(10), rng).sum() for r in range(200)
         )
         assert 0.2 < total / 2000 < 0.4
 
     def test_reproducible_given_rng(self):
         model = BernoulliAvailability(up_prob=0.5)
-        m1 = model.available_mask(1, fleet(8), np.random.default_rng(3))
-        m2 = model.available_mask(1, fleet(8), np.random.default_rng(3))
+        m1 = model.available_mask_ids(1, *fleet(8), np.random.default_rng(3))
+        m2 = model.available_mask_ids(1, *fleet(8), np.random.default_rng(3))
         assert (m1 == m2).all()
 
 
@@ -60,13 +55,13 @@ class TestTrace:
     def test_round_indexing_is_one_based_and_cycles(self):
         model = TraceAvailability({0: [True, False]}, default=True)
         devs = fleet(2)
-        assert model.available_mask(1, devs, None).tolist() == [True, True]
-        assert model.available_mask(2, devs, None).tolist() == [False, True]
-        assert model.available_mask(3, devs, None).tolist() == [True, True]
+        assert model.available_mask_ids(1, *devs, None).tolist() == [True, True]
+        assert model.available_mask_ids(2, *devs, None).tolist() == [False, True]
+        assert model.available_mask_ids(3, *devs, None).tolist() == [True, True]
 
     def test_default_applies_to_untraced_devices(self):
         model = TraceAvailability({}, default=False)
-        assert not model.available_mask(1, fleet(3), None).any()
+        assert not model.available_mask_ids(1, *fleet(3), None).any()
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -80,14 +75,14 @@ class TestCapacityCorrelated:
         rng = np.random.default_rng(0)
         fast_up = slow_up = 0
         for r in range(300):
-            mask = model.available_mask(r, devs, rng)
+            mask = model.available_mask_ids(r, *devs, rng)
             fast_up += mask[:3].sum()
             slow_up += mask[3:].sum()
         assert fast_up > slow_up * 2
 
     def test_homogeneous_fleet_uses_base_prob(self):
         model = CapacityCorrelatedAvailability(up_prob=1.0, slow_penalty=0.5)
-        mask = model.available_mask(1, fleet(5), np.random.default_rng(0))
+        mask = model.available_mask_ids(1, *fleet(5), np.random.default_rng(0))
         assert mask.all()  # equal times: nobody is "slow", p = up_prob = 1
 
     def test_validation(self):
@@ -127,26 +122,25 @@ class TestDiurnal:
 
         assert DiurnalAvailability().always_on is False
 
+    def test_object_and_ids_paths_draw_identically(self):
+        """One uniform per device, in id order, against the cycle's
+        probability — the draw the per-device object path made."""
+        from repro.env.availability import DiurnalAvailability
+
+        model = DiurnalAvailability()
+        want = np.random.default_rng(3).random(10) < model.up_prob(5)
+        mask = model.available_mask_ids(5, *fleet(10), np.random.default_rng(3))
+        np.testing.assert_array_equal(mask, want)
+
     def test_masks_track_the_cycle(self):
         from repro.env.availability import DiurnalAvailability
 
         model = DiurnalAvailability(period=24.0, min_up=0.05, max_up=0.95)
         rng = np.random.default_rng(0)
         devs = fleet(200)
-        peak = model.available_mask(6, devs, rng).sum()
-        trough = model.available_mask(18, devs, rng).sum()
+        peak = model.available_mask_ids(6, *devs, rng).sum()
+        trough = model.available_mask_ids(18, *devs, rng).sum()
         assert peak > trough * 3
-
-    def test_object_and_ids_paths_draw_identically(self):
-        from repro.env.availability import DiurnalAvailability
-
-        model = DiurnalAvailability()
-        ids = np.arange(10)
-        times = np.ones(10)
-        mask_obj = model.available_mask(5, fleet(10), np.random.default_rng(3))
-        mask_ids = model.available_mask_ids(5, ids, times,
-                                           np.random.default_rng(3))
-        np.testing.assert_array_equal(mask_obj, mask_ids)
 
     def test_validation(self):
         from repro.env.availability import DiurnalAvailability
@@ -179,7 +173,7 @@ class TestDiurnal:
 
 class TestTraceVectorizedPath:
     """The streamed array form of TraceAvailability must agree with the
-    per-device object path on every (round, id-set) combination."""
+    per-device trace lookup on every (round, id-set) combination."""
 
     def _model(self):
         return TraceAvailability(
@@ -187,27 +181,36 @@ class TestTraceVectorizedPath:
             default=True,
         )
 
+    @staticmethod
+    def _lookup(model, round_idx, ids):
+        """Reference: the per-device lookup the object path performed —
+        each id's own trace entry, else the default."""
+        return [
+            model.traces[i][(round_idx - 1) % len(model.traces[i])]
+            if i in model.traces
+            else model.default
+            for i in ids
+        ]
+
     def test_matches_object_path_across_rounds(self):
         model = self._model()
         ids = np.arange(9, dtype=np.intp)
-        devs = fleet(9)
         for r in range(1, 8):
             np.testing.assert_array_equal(
                 model.available_mask_ids(r, ids, np.ones(9), rng=None),
-                model.available_mask(r, devs, rng=None),
+                self._lookup(model, r, ids.tolist()),
             )
 
     def test_subset_and_unsorted_id_arrays(self):
         model = self._model()
         for ids in ([3, 7], [7, 0, 3], [8, 2], [5, 1, 0, 7, 3], [3]):
             ids_arr = np.asarray(ids, dtype=np.intp)
-            devs = [_Dev(i) for i in ids]
             for r in (1, 2, 3, 4):
                 np.testing.assert_array_equal(
                     model.available_mask_ids(
                         r, ids_arr, np.ones(len(ids)), rng=None
                     ),
-                    model.available_mask(r, devs, rng=None),
+                    self._lookup(model, r, ids),
                 )
 
     def test_traced_ids_absent_from_cohort(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.core import ClassificationDataset
-from repro.device.device import Device
+from repro.device.fleet import DeviceFleet
 from repro.device.network import UniformDelay
 from repro.simulation.engine import RingRoundEngine, async_upload_schedule
 
@@ -29,12 +29,12 @@ class LineageTrainer:
 
 
 def make_fleet(unit_times, dim=None):
-    dim = dim if dim is not None else len(unit_times)
-    trainer = LineageTrainer(dim)
-    shard = ClassificationDataset(np.zeros((2, 1)), np.zeros(2, dtype=int), 1)
-    return [
-        Device(i, shard, float(t), trainer) for i, t in enumerate(unit_times)
-    ]
+    """A DeviceFleet of two-sample devices training with LineageTrainer."""
+    n = len(unit_times)
+    trainer = LineageTrainer(dim if dim is not None else n)
+    data = ClassificationDataset(np.zeros((2 * n, 1)), np.zeros(2 * n, dtype=int), 1)
+    parts = [np.arange(2 * i, 2 * i + 2) for i in range(n)]
+    return DeviceFleet(data, parts, np.asarray(unit_times, dtype=float), trainer)
 
 
 class TestRingRotation:
