@@ -9,6 +9,10 @@ bitwise-equivalence tests can pin the fused engine to the seed semantics.
 
 It intentionally does NOT import the fast paths: everything here goes
 through ``model.parameters()`` and per-parameter arrays only.
+
+:func:`legacy_dirichlet_partition` is the seed revision's per-device loop
+for the Dirichlet split, the oracle the vectorized partitioner is pinned
+to bitwise and the "before" side of the ``dirichlet_partition`` pair.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.core import ClassificationDataset
+from repro.datasets.partition import _validate
 from repro.nn.layers import Dense, ReLU
 from repro.nn.models import Sequential
 from repro.utils.rng import SeedSequenceFactory, as_generator
@@ -27,6 +32,7 @@ __all__ = [
     "legacy_zero_grad",
     "legacy_loss_and_grad",
     "legacy_paper_mlp",
+    "legacy_dirichlet_partition",
     "LegacyLocalTrainer",
     "SeedDense",
 ]
@@ -189,3 +195,63 @@ class LegacyLocalTrainer:
                         p.data -= eta * v
                 steps += 1
         return legacy_get_flat_params(model), steps
+
+
+def legacy_dirichlet_partition(
+    dataset: ClassificationDataset,
+    num_devices: int,
+    beta: float,
+    seed: int | np.random.Generator | None = 0,
+    min_samples: int = 1,
+    max_retries: int = 100,
+) -> list[np.ndarray]:
+    """Dirichlet(beta) label-skew split (the paper's Non-IID setting).
+
+    For each class ``k`` draw device proportions ``p ~ Dir(beta, ..., beta)``
+    and deal that class's samples out accordingly.  Retries (with fresh
+    draws) until every device holds at least ``min_samples`` samples, the
+    standard practice for this construction.
+
+    The seed revision's loop implementation, kept as the oracle the
+    vectorized :func:`repro.datasets.partition.dirichlet_partition` is
+    pinned to bitwise: every attempt builds, concatenates and sorts one
+    array per device, and the repair scans every shard per move.
+    """
+    _validate(dataset, num_devices)
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    if min_samples * num_devices > len(dataset):
+        raise ValueError("min_samples * num_devices exceeds dataset size")
+    rng = as_generator(seed)
+
+    for _ in range(max_retries):
+        buckets: list[list[np.ndarray]] = [[] for _ in range(num_devices)]
+        for k in range(dataset.num_classes):
+            members = np.flatnonzero(dataset.y == k)
+            if members.size == 0:
+                continue
+            members = rng.permutation(members)
+            proportions = rng.dirichlet(np.full(num_devices, beta))
+            # Cumulative cut points; the final bucket absorbs rounding.
+            cuts = (np.cumsum(proportions)[:-1] * members.size).astype(np.intp)
+            for dev, part in enumerate(np.split(members, cuts)):
+                if part.size:
+                    buckets[dev].append(part)
+        parts = [
+            np.sort(np.concatenate(b)) if b else np.empty(0, dtype=np.intp)
+            for b in buckets
+        ]
+        if min(p.size for p in parts) >= min_samples:
+            return parts
+    # Extreme skew (tiny beta) can starve some device in every draw.
+    # Repair the last draw instead of failing: move samples one at a time
+    # from the largest shard to each starved one.  This preserves
+    # conservation and barely perturbs the drawn distribution.
+    while min(p.size for p in parts) < min_samples:
+        smallest = min(range(num_devices), key=lambda i: parts[i].size)
+        largest = max(range(num_devices), key=lambda i: parts[i].size)
+        if parts[largest].size <= min_samples:  # pragma: no cover - guarded by
+            raise RuntimeError("cannot repair partition")  # the min_samples check
+        moved, parts[largest] = parts[largest][-1], parts[largest][:-1]
+        parts[smallest] = np.sort(np.append(parts[smallest], moved))
+    return parts

@@ -18,6 +18,11 @@ path it replaced, :mod:`benchmarks.perf.legacy_fleet`):
 
 * ``fleet_build`` — population construction: one gathered data block vs
   per-device shard copies + objects.
+* ``dirichlet_partition`` — the paper's Dir(0.3) label split at
+  ``fleet_devices``, where every retry fails and the repair runs: the
+  vectorized partitioner vs the seed per-device loop
+  (:func:`benchmarks.perf.legacy.legacy_dirichlet_partition`), shards
+  asserted bitwise equal first.
 * ``fleet_round`` — FedAvg **round execution** over thousands of devices
   under a non-ideal (lossless) environment: selection, availability,
   slowest-link charging, result movement, aggregation.  Local SGD is
@@ -62,6 +67,7 @@ import numpy as np
 
 from benchmarks.perf.legacy import (
     LegacyLocalTrainer,
+    legacy_dirichlet_partition,
     legacy_get_flat_params,
     legacy_paper_mlp,
     legacy_set_flat_params,
@@ -75,7 +81,7 @@ from repro.baselines.fedavg import FedAvgConfig, FedAvgServer
 from repro.compression import QSGDCodec, TopKCodec
 from repro.core.aggregation import sample_weighted_average, uniform_average
 from repro.datasets.core import train_test_split
-from repro.datasets.partition import partition_by_name
+from repro.datasets.partition import dirichlet_partition, partition_by_name
 from repro.datasets.synthetic import mnist_like
 from repro.device.batched import BatchedTrainer
 from repro.device.device import LocalTrainer
@@ -387,6 +393,35 @@ def _bench_fleet_build(scale: PerfScale) -> dict:
         repeats,
     )
     return _pair(before, after, devices=scale.fleet_devices)
+
+
+def _bench_dirichlet_partition(scale: PerfScale) -> dict:
+    dataset = mnist_like(
+        num_samples=scale.fleet_samples, seed=11, feature_dim=scale.feature_dim
+    )
+    beta = 0.3
+    after_parts = dirichlet_partition(dataset, scale.fleet_devices, beta, seed=13)
+    before_parts = legacy_dirichlet_partition(
+        dataset, scale.fleet_devices, beta, seed=13
+    )
+    assert len(after_parts) == len(before_parts)
+    for got, want in zip(after_parts, before_parts):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    after, before = _best_pair(
+        lambda: dirichlet_partition(dataset, scale.fleet_devices, beta, seed=13),
+        lambda: legacy_dirichlet_partition(dataset, scale.fleet_devices, beta, seed=13),
+        3,
+    )
+    return _pair(
+        before,
+        after,
+        devices=scale.fleet_devices,
+        samples=len(dataset),
+        beta=beta,
+        min_shard=min(p.size for p in after_parts),
+    )
 
 
 def _fleet_round_pair(scale: PerfScale, trainer, participation: float, rounds: int,
@@ -890,6 +925,7 @@ def run_suite(scale_name: str = "quick", repeats: int | None = None) -> dict:
         "aggregation": _bench_aggregation(scale),
         "fedhisyn_round": _bench_fedhisyn_round(scale),
         "fleet_build": _bench_fleet_build(scale),
+        "dirichlet_partition": _bench_dirichlet_partition(scale),
         "fleet_round": _bench_fleet_round(scale),
         "fedavg_round_batched": _bench_fedavg_round_batched(scale),
         "fedavg_round_e2e": _bench_fedavg_e2e(scale),

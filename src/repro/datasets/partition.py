@@ -3,6 +3,8 @@
 Implements the splits used in the paper:
 
 * **IID** — a uniform random equal split.
+* **Contiguous** — consecutive near-equal index runs, the zero-copy
+  scheme for fleet-scale populations (no randomness).
 * **Dirichlet(beta)** — for every class, the proportion assigned to each
   device is drawn from ``Dir(beta * 1)``; small beta = highly skewed label
   distributions (the paper uses beta in {0.3, 0.8}).
@@ -12,6 +14,14 @@ Implements the splits used in the paper:
 All partitioners return a list of index arrays into the parent dataset and
 satisfy the *conservation* invariant: indices are disjoint and their union
 is every sample exactly once (property-tested).
+
+The Dirichlet split redraws until every device holds ``min_samples``
+samples, up to ``max_retries`` attempts.  An attempt only counts samples
+per device; shards are built once, for the accepted draw or the last one.
+With thousands of devices and a few samples each (the ``city`` and
+``metro`` fleet profiles at beta 0.3) every retry is exhausted and the
+last draw is *repaired*: while some shard is short, the first largest
+shard gives its highest index to the first smallest shard.
 """
 
 from __future__ import annotations
@@ -86,45 +96,54 @@ def dirichlet_partition(
     For each class ``k`` draw device proportions ``p ~ Dir(beta, ..., beta)``
     and deal that class's samples out accordingly.  Retries (with fresh
     draws) until every device holds at least ``min_samples`` samples, the
-    standard practice for this construction.
+    standard practice for this construction; if every retry fails, the
+    last draw is repaired (see the module docstring).
     """
     _validate(dataset, num_devices)
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if min_samples < 0:
+        raise ValueError(f"min_samples must be non-negative, got {min_samples}")
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be at least 1, got {max_retries}")
     if min_samples * num_devices > len(dataset):
         raise ValueError("min_samples * num_devices exceeds dataset size")
     rng = as_generator(seed)
+    classes = [np.flatnonzero(dataset.y == k) for k in range(dataset.num_classes)]
+    classes = [members for members in classes if members.size]
+    alpha = np.full(num_devices, beta)
 
+    # Attempts only count: a rejected draw never builds a shard.
     for _ in range(max_retries):
-        buckets: list[list[np.ndarray]] = [[] for _ in range(num_devices)]
-        for k in range(dataset.num_classes):
-            members = np.flatnonzero(dataset.y == k)
-            if members.size == 0:
-                continue
+        shuffled, dealt = [], []
+        for members in classes:
             members = rng.permutation(members)
-            proportions = rng.dirichlet(np.full(num_devices, beta))
+            proportions = rng.dirichlet(alpha)
             # Cumulative cut points; the final bucket absorbs rounding.
             cuts = (np.cumsum(proportions)[:-1] * members.size).astype(np.intp)
-            for dev, part in enumerate(np.split(members, cuts)):
-                if part.size:
-                    buckets[dev].append(part)
-        parts = [
-            np.sort(np.concatenate(b)) if b else np.empty(0, dtype=np.intp)
-            for b in buckets
-        ]
-        if min(p.size for p in parts) >= min_samples:
-            return parts
-    # Extreme skew (tiny beta) can starve some device in every draw.
-    # Repair the last draw instead of failing: move samples one at a time
-    # from the largest shard to each starved one.  This preserves
-    # conservation and barely perturbs the drawn distribution.
-    while min(p.size for p in parts) < min_samples:
-        smallest = min(range(num_devices), key=lambda i: parts[i].size)
-        largest = max(range(num_devices), key=lambda i: parts[i].size)
-        if parts[largest].size <= min_samples:  # pragma: no cover - guarded by
+            shuffled.append(members)
+            dealt.append(np.diff(cuts, prepend=0, append=members.size))
+        sizes = np.sum(dealt, axis=0)
+        if sizes.min() >= min_samples:
+            break
+
+    # Materialize the accepted (or last) draw: label every dealt sample
+    # with its device, order by (device, index), split at the size bounds.
+    idx = np.concatenate(shuffled)
+    dev = np.repeat(np.tile(np.arange(num_devices), len(dealt)), np.concatenate(dealt))
+    parts = np.split(idx[np.lexsort((idx, dev))], np.cumsum(sizes)[:-1])
+
+    # Extreme skew can starve some device in every draw.  Repair instead
+    # of failing: it preserves conservation and barely perturbs the draw.
+    while sizes.min() < min_samples:
+        smallest = int(np.argmin(sizes))
+        largest = int(np.argmax(sizes))
+        if sizes[largest] <= min_samples:  # pragma: no cover - guarded by
             raise RuntimeError("cannot repair partition")  # the min_samples check
         moved, parts[largest] = parts[largest][-1], parts[largest][:-1]
         parts[smallest] = np.sort(np.append(parts[smallest], moved))
+        sizes[largest] -= 1
+        sizes[smallest] += 1
     return parts
 
 

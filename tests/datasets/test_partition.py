@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.perf.legacy import legacy_dirichlet_partition
 from repro.datasets.core import ClassificationDataset
 from repro.datasets.partition import (
     contiguous_partition,
@@ -87,6 +88,14 @@ class TestDirichletPartition:
         with pytest.raises(ValueError):
             dirichlet_partition(make_ds(n=20), 10, beta=0.3, min_samples=5)
 
+    def test_zero_retries_raises(self):
+        with pytest.raises(ValueError, match="max_retries"):
+            dirichlet_partition(make_ds(), 4, beta=0.3, max_retries=0)
+
+    def test_negative_min_samples_raises(self):
+        with pytest.raises(ValueError, match="min_samples"):
+            dirichlet_partition(make_ds(), 4, beta=0.3, min_samples=-1)
+
     def test_deterministic(self):
         ds = make_ds()
         a = dirichlet_partition(ds, 6, beta=0.5, seed=9)
@@ -104,6 +113,68 @@ class TestDirichletPartition:
         ds = make_ds(n=150, classes=4, seed=0)
         parts = dirichlet_partition(ds, num_devices, beta=beta, seed=seed)
         assert_conservation(parts, len(ds))
+
+
+def assert_same_shards(got, want):
+    """Bitwise-equal shard lists, dtype included."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def make_ds_with_empty_class(n=200, classes=5, empty=2, seed=0):
+    ds = make_ds(n=n, classes=classes, seed=seed)
+    y = np.where(ds.y == empty, (empty + 1) % classes, ds.y)
+    return ClassificationDataset(ds.x, y, classes)
+
+
+class TestDirichletMatchesLegacy:
+    """The vectorized split is the seed loop's output, bit for bit."""
+
+    @given(
+        num_devices=st.integers(min_value=2, max_value=60),
+        beta=st.floats(min_value=0.05, max_value=10.0),
+        min_samples=st.integers(min_value=0, max_value=3),
+        max_retries=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+        empty_class=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_oracle(
+        self, num_devices, beta, min_samples, max_retries, seed, empty_class
+    ):
+        ds = make_ds_with_empty_class() if empty_class else make_ds()
+        kwargs = dict(
+            beta=beta, seed=seed, min_samples=min_samples, max_retries=max_retries
+        )
+        assert_same_shards(
+            dirichlet_partition(ds, num_devices, **kwargs),
+            legacy_dirichlet_partition(ds, num_devices, **kwargs),
+        )
+
+    @pytest.mark.parametrize("empty_class", [False, True])
+    def test_exhausted_retries_repair(self, empty_class):
+        """The only draw starves devices, so the repair loop decides."""
+        ds = make_ds_with_empty_class() if empty_class else make_ds()
+        kwargs = dict(beta=0.05, seed=4, max_retries=1)
+        # min_samples=0 accepts the same draw untouched.
+        raw = dirichlet_partition(ds, 60, min_samples=0, **kwargs)
+        assert min(p.size for p in raw) < 3
+        got = dirichlet_partition(ds, 60, min_samples=3, **kwargs)
+        assert min(p.size for p in got) >= 3
+        assert_conservation(got, len(ds))
+        assert_same_shards(
+            got, legacy_dirichlet_partition(ds, 60, min_samples=3, **kwargs)
+        )
+
+    def test_city_shape(self):
+        """A thousand devices at beta 0.3: every retry fails, the repair runs."""
+        ds = make_ds(n=8000, classes=10, seed=5)
+        assert_same_shards(
+            dirichlet_partition(ds, 1000, beta=0.3, seed=0, max_retries=5),
+            legacy_dirichlet_partition(ds, 1000, beta=0.3, seed=0, max_retries=5),
+        )
 
 
 class TestShardPartition:
