@@ -38,6 +38,10 @@ path it replaced, :mod:`benchmarks.perf.legacy_fleet`):
 * ``fedavg_round_e2e`` — the same pair with *real* local training and
   the batched engine enabled on the fleet side: the honest end-to-end
   round number.
+* ``fedhisyn_round_batched`` — FedHiSyn's ring rounds on the ``city``
+  profile, ``device_batching="auto"`` (one ``train_round`` call per
+  completion instant) vs ``"off"`` (a per-row ``LocalTrainer.train``
+  loop on the same streams); finals asserted equal first.
 * ``fault_injection_overhead`` — the e2e workload on one server, armed
   null-rate fault model vs ``faults="none"``: the cost of the fault
   machinery when it injects nothing.  Here ``speedup`` reads as the
@@ -609,6 +613,50 @@ def _bench_fedavg_round_batched(scale: PerfScale) -> dict:
     )
 
 
+def _bench_fedhisyn_round_batched(scale: PerfScale) -> dict:
+    """FedHiSyn's ring rounds, batched completion instants vs sequential.
+
+    Two servers built from one ``city`` spec that differ only in
+    ``device_batching``.  Whole fits with the build excluded, per round;
+    the final weights are asserted equal (1e-12; bitwise on BLAS builds
+    whose stacked-GEMM slices match their 2-D equivalents) before timing
+    is trusted.
+    """
+    rounds = 2
+    spec = dict(
+        method="fedhisyn",
+        fleet_profile="city",
+        rounds=rounds,
+        seed=0,
+        method_kwargs={"num_classes": 2},
+    )
+    after_srv = build_experiment(ExperimentSpec(**spec, device_batching="auto"))
+    before_srv = build_experiment(ExperimentSpec(**spec, device_batching="off"))
+    w0 = after_srv.global_weights.copy()
+
+    def fit(server):
+        _reset_server(server)
+        return server.fit(initial_weights=w0)
+
+    after_w = fit(after_srv).final_weights
+    before_w = fit(before_srv).final_weights
+    np.testing.assert_allclose(after_w, before_w, rtol=1e-12, atol=1e-12)
+    max_abs = float(np.max(np.abs(after_w - before_w)))
+
+    after, before = _best_pair(
+        lambda: fit(after_srv),
+        lambda: fit(before_srv),
+        max(3, scale.repeats // 4),
+    )
+    return _pair(
+        before / rounds,
+        after / rounds,
+        devices=len(after_srv.fleet),
+        rounds=rounds,
+        max_abs_diff=max_abs,
+    )
+
+
 def _bench_fault_overhead(scale: PerfScale) -> dict:
     """Cost of the armed-but-null fault machinery on the sync round path.
 
@@ -929,6 +977,7 @@ def run_suite(scale_name: str = "quick", repeats: int | None = None) -> dict:
         "fleet_round": _bench_fleet_round(scale),
         "fedavg_round_batched": _bench_fedavg_round_batched(scale),
         "fedavg_round_e2e": _bench_fedavg_e2e(scale),
+        "fedhisyn_round_batched": _bench_fedhisyn_round_batched(scale),
         "fault_injection_overhead": _bench_fault_overhead(scale),
         "scheduler_events": _bench_scheduler_events(scale),
         "scheduler_events@1M": _bench_scheduler_events_1m(scale),

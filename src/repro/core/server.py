@@ -179,8 +179,8 @@ class FederatedServer:
         self.transport: Transport = SimTransport()
         self.transport.bind(self)
         # Batched cross-device training engine (repro.device.batched): when
-        # installed, SimTransport (and SCAFFOLD's inline loop) train a whole
-        # round as stacked GEMMs over the (participants, dim) arena.  Off by
+        # installed, SimTransport, SCAFFOLD's inline loop and FedHiSyn's ring
+        # engine train as stacked GEMMs over a (participants, dim) arena.  Off by
         # default on direct construction so hand-built servers keep the
         # sequential path; build_experiment enables it via
         # set_device_batching(spec.device_batching).

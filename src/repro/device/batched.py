@@ -11,9 +11,11 @@ heavy-ball momentum, FedProx pull, SCAFFOLD correction) runs as whole-matrix
 ops over the arena, mirroring ``LocalTrainer.train``'s fused scalar path
 line for line.
 
-Determinism contract: every device draws its epoch permutations from its own
-``(device_id, round_idx, 0)`` stream — exactly the generator the sequential
-path uses — so batched and sequential training see identical shuffles.  The
+Determinism contract: every row draws its epoch permutations from its own
+``(device_id, round_idx, unit)`` stream — exactly the generator the
+sequential path uses (``unit`` is 0 for a one-unit round, the ring unit
+index for FedHiSyn) — so batched and sequential training see identical
+shuffles.  Rows may start from one shared vector or each from its own.  The
 per-replica float ops are the same as the sequential path's, so results are
 bit-identical wherever the BLAS build computes stacked-GEMM slices exactly
 like their 2-D equivalents (and within ~1e-12 otherwise; DESIGN.md §15).
@@ -103,16 +105,38 @@ class BatchedTrainer:
         mu: float = 0.0,
         corrections: np.ndarray | None = None,
         lr: float | None = None,
+        units: np.ndarray | None = None,
     ) -> np.ndarray:
         """Train every receiver of a round; rows of ``out`` receive results.
 
         ``ids`` are fleet device ids, ``epochs`` the per-device epoch counts
-        (both aligned with the rows of ``out``), ``weights`` the broadcast
-        round-start vector.  ``corrections``, when given, is a
+        (both aligned with the rows of ``out``).  ``weights`` is either the
+        broadcast round-start vector, shared by every row, or a
+        ``(len(ids), dim)`` matrix of per-row start models (the ring
+        engine's instant).  ``units`` keys each row's shuffle stream as
+        ``(device_id, round_idx, unit)``; the default is unit 0 for every
+        row.  ``out`` may be the ``weights`` matrix itself: each cohort
+        reads its start rows before it writes its results, and cohorts own
+        disjoint rows.  ``corrections``, when given, is a
         ``(len(ids), dim)`` matrix of per-device additive gradient
         corrections (SCAFFOLD).  Returns the per-device SGD step counts.
         """
         ids = np.asarray(ids, dtype=np.intp)
+        weights = np.asarray(weights)
+        if weights.shape not in ((self.dim,), (len(ids), self.dim)):
+            raise ValueError(
+                f"weights must have shape ({self.dim},) or "
+                f"({len(ids)}, {self.dim}), got {weights.shape}"
+            )
+        if units is None:
+            units = np.zeros(len(ids), dtype=np.intp)
+        else:
+            units = np.asarray(units, dtype=np.intp)
+            if units.shape != ids.shape:
+                raise ValueError(
+                    f"units must have one entry per id ({len(ids)}), "
+                    f"got shape {units.shape}"
+                )
         ep = np.asarray(epochs)
         n_arr = self.fleet.num_samples[ids]
         steps_out = np.empty(len(ids), dtype=np.intp)
@@ -125,7 +149,7 @@ class BatchedTrainer:
             if n <= 0:
                 raise ValueError("cannot train on an empty shard")
             steps = self._train_cohort(
-                ids, positions, n, e, round_idx, weights, out,
+                ids, units, positions, n, e, round_idx, weights, out,
                 anchor=anchor, mu=mu, corrections=corrections, lr=lr,
             )
             steps_out[positions] = steps
@@ -134,6 +158,7 @@ class BatchedTrainer:
     def _train_cohort(
         self,
         ids: np.ndarray,
+        units: np.ndarray,
         positions: list[int],
         n: int,
         e: int,
@@ -153,7 +178,10 @@ class BatchedTrainer:
         pos_arr = np.asarray(positions, dtype=np.intp)
         dev_ids = ids[pos_arr]
         theta, grad, scratch, velocity = self._arenas(P)
-        theta[:] = weights
+        if weights.ndim == 1:
+            theta[:] = weights
+        else:
+            np.take(weights, pos_arr, axis=0, out=theta)
         if velocity is not None:
             velocity.fill(0.0)
         self.model.bind(theta, grad)
@@ -162,7 +190,8 @@ class BatchedTrainer:
         # successive permutations continue the stream state exactly like the
         # sequential path does.
         gens = [
-            trainer._seeds.generator(int(d), round_idx, 0) for d in dev_ids.tolist()
+            trainer._seeds.generator(d, round_idx, u)
+            for d, u in zip(dev_ids.tolist(), units[pos_arr].tolist())
         ]
         starts = self.fleet.shard_starts[dev_ids]
         idx, xe, ye = self._epoch_views(P, n)

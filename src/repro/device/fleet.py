@@ -26,8 +26,7 @@ The fleet is the one population type: every server, the ring engine and
 the environment's availability queries run on it, addressing devices by
 id.  The :class:`~repro.device.device.Device` contract survives as
 :class:`FleetDevice`, a thin row-view facade (built lazily, cached), so
-the ring engine's ``run_unit`` choreography and all method code keep
-their shape.
+the ring engine's buffers and all method code keep their shape.
 """
 
 from __future__ import annotations

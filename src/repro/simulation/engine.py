@@ -7,8 +7,14 @@ buffer at unit *start*; models arriving mid-unit are queued and take effect
 on the next unit; every completed unit is forwarded to the ring successor
 after the link delay.
 
-The engine is algorithm-agnostic about what "training" means — it calls
-``device.run_unit`` — so ablations (e.g. averaging instead of direct use)
+Units finish on shared instants (unit times are ``1/count``), and every
+start model of an instant is fixed before it, so the engine trains each
+instant as one cohort: the combined start models are gathered into a
+``(P, dim)`` block and trained by one
+:meth:`~repro.device.batched.BatchedTrainer.train_round` call with
+per-row ``(device_id, round_idx, unit)`` streams — or, without a batched
+trainer (``device_batching="off"``, CNNs), by a ``LocalTrainer.train``
+loop over the same keys.  Ablations (e.g. averaging instead of direct use)
 plug in via the ``combine`` hook.
 """
 
@@ -51,15 +57,13 @@ class RingRoundStats:
     peer_units: float = 0.0
 
 
-def _direct_use(buffered: np.ndarray, own: np.ndarray | None) -> np.ndarray:
+def _direct_use(buffered: np.ndarray, own: np.ndarray) -> np.ndarray:
     """Paper default (Observation 1): train the received model directly."""
     return buffered
 
 
-def _average(buffered: np.ndarray, own: np.ndarray | None) -> np.ndarray:
+def _average(buffered: np.ndarray, own: np.ndarray) -> np.ndarray:
     """Ablation: average the received model with the device's own."""
-    if own is None:
-        return buffered
     return 0.5 * (buffered + own)
 
 
@@ -128,6 +132,8 @@ class RingRoundEngine:
             *_PEER_DROP_STREAM_KEY
         )
         self.dropped_sends = 0
+        # Reused per-instant start block (grown to the largest instant).
+        self._starts: np.ndarray | None = None
 
     def run_round(
         self,
@@ -137,6 +143,7 @@ class RingRoundEngine:
         round_idx: int = 0,
         codec=None,
         codec_reference: np.ndarray | None = None,
+        batched_trainer=None,
     ) -> RingRoundStats:
         """One round: every listed device starts from ``global_weights``,
         trains/forwards along its ring until ``duration`` elapses.
@@ -153,45 +160,53 @@ class RingRoundEngine:
         the encoded size; ``stats.peer_units`` accumulates the on-wire
         total for the server's peer meter.
 
+        ``batched_trainer`` (a :class:`~repro.device.batched.BatchedTrainer`
+        over this fleet) trains each completion instant in one call; None
+        trains the instant's rows one by one with the fleet's trainer.
+
         Every device completes at least one unit (Algorithm 1 line 11
         enters the loop whenever the remaining budget is positive).  After
         the call each device's ``weights`` holds its last trained model —
-        the vector it would upload to the server.
+        the vector it would upload to the server — and its ``buffer`` is
+        empty.
         """
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
+        rings = [[int(d) for d in ring] for ring in rings if len(ring)]
         participants = [d for ring in rings for d in ring]
         if len(set(participants)) != len(participants):
             raise ValueError("a device appears in more than one ring position")
 
         successor: dict[int, int] = {}
         for ring in rings:
-            if not ring:
-                continue
             for pos, dev in enumerate(ring):
                 successor[dev] = ring[(pos + 1) % len(ring)]
 
-        by_id = {i: self.devices.device(i) for i in participants}
-        # Per-device mutable state for the event loop.
+        fleet = self.devices
+        by_id = {i: fleet.device(i) for i in participants}
+        unit_time = dict(zip(participants, fleet.unit_times[participants].tolist()))
+        # Per-device mutable state for the event loop.  ``own`` is each
+        # device's newest model (its round-start vector until it first
+        # trains); fleet rows are written from it once, at round end.
         units_done = {i: 0 for i in participants}
         units_budget: dict[int, int] = {}
         unit_start_model: dict[int, np.ndarray] = {}
+        own: dict[int, np.ndarray] = {}
 
         # A fresh Scheduler per round: round-relative virtual time starts
         # at zero, and the (time, insertion) total order of the shared
         # runtime is exactly the discipline this loop always relied on.
         sched = Scheduler()
         for dev_id in participants:
-            dev = by_id[dev_id]
             if isinstance(global_weights, dict):
-                dev.reset_buffer(global_weights[dev_id])
+                start = global_weights[dev_id]
             else:
-                dev.reset_buffer(global_weights)
+                start = global_weights
+            own[dev_id] = unit_start_model[dev_id] = start
+            by_id[dev_id].buffer.clear()  # engine owns the arrival queue
             # floor(duration / t_i) units, minimum one (Alg 1 line 11).
-            units_budget[dev_id] = completed_units(duration, dev.unit_time)
-            unit_start_model[dev_id] = dev.buffer[-1]
-            dev.buffer.clear()  # engine owns the "arrived mid-unit" queue
-            sched.at(dev.unit_time, UNIT_COMPLETE, dev_id)
+            units_budget[dev_id] = completed_units(duration, unit_time[dev_id])
+            sched.at(unit_time[dev_id], UNIT_COMPLETE, dev_id)
 
         if codec is not None and codec.is_identity:
             codec = None  # dense fast path below is bit-identical
@@ -212,17 +227,17 @@ class RingRoundEngine:
                 else:
                     completed.append(ev.payload)
 
-            # Phase 1: train every unit that completed at `now` (each uses
-            # the start model fixed when its unit began).
+            # Phase 1: train every unit that completed at `now` as one
+            # cohort (each row uses the start model fixed when its unit
+            # began), then forward the results in `completed` order.
+            trained_rows = self._train_instant(
+                completed, unit_start_model, own, units_done, round_idx,
+                batched_trainer,
+            )
             instant: list[tuple[int, np.ndarray]] = []
-            for dev_id in completed:
-                dev = by_id[dev_id]
-                unit_idx = units_done[dev_id]
-                start = self._combine(unit_start_model[dev_id], dev.weights)
-                trained = dev.run_unit(
-                    start, self.epochs_per_unit, round_idx, unit_idx
-                )
-                units_done[dev_id] = unit_idx + 1
+            for dev_id, trained in zip(completed, trained_rows):
+                own[dev_id] = trained
+                units_done[dev_id] += 1
                 succ = successor[dev_id]
                 if succ != dev_id:  # singleton rings do not self-send
                     peer_sends += 1
@@ -264,12 +279,18 @@ class RingRoundEngine:
             # Phase 3: schedule next units — newest arrival wins, else the
             # device continues its own model (Eq. 7).
             for dev_id in completed:
-                dev = by_id[dev_id]
                 if units_done[dev_id] < units_budget[dev_id]:
-                    nxt = dev.buffer[-1] if dev.buffer else dev.weights
-                    dev.buffer.clear()
-                    unit_start_model[dev_id] = nxt
-                    sched.at(now + dev.unit_time, UNIT_COMPLETE, dev_id)
+                    buffer = by_id[dev_id].buffer
+                    unit_start_model[dev_id] = buffer[-1] if buffer else own[dev_id]
+                    buffer.clear()
+                    sched.at(now + unit_time[dev_id], UNIT_COMPLETE, dev_id)
+
+        # Round end: each device's last trained model becomes its fleet row
+        # (the upload), and arrivals after its last unit are discarded so
+        # no stale model stays pinned by the cached facade across rounds.
+        for dev_id in participants:
+            fleet.set_weights(dev_id, own[dev_id])
+            by_id[dev_id].buffer.clear()
 
         return RingRoundStats(
             units_completed=units_done,
@@ -277,6 +298,49 @@ class RingRoundEngine:
             end_time=sched.now,
             peer_units=peer_units if codec is not None else float(peer_sends),
         )
+
+    def _train_instant(
+        self,
+        completed: list[int],
+        unit_start_model: dict[int, np.ndarray],
+        own: dict[int, np.ndarray],
+        units_done: dict[int, int],
+        round_idx: int,
+        batched_trainer,
+    ) -> list[np.ndarray]:
+        """Train one completion instant's units; one fresh vector per row.
+
+        The combined start models are gathered into a reused ``(P, dim)``
+        block, which the batched path trains in place.  Every returned row
+        is its own ``(dim,)`` array, so a forwarded or kept model never
+        pins the block.
+        """
+        P = len(completed)
+        if not P:
+            return []
+        fleet = self.devices
+        if self._starts is None or self._starts.shape[0] < P:
+            self._starts = np.empty((P, fleet.dim))
+        starts = self._starts[:P]
+        combine = self._combine
+        for p, dev_id in enumerate(completed):
+            starts[p] = combine(unit_start_model[dev_id], own[dev_id])
+        units = [units_done[d] for d in completed]
+        epochs = self.epochs_per_unit
+        if batched_trainer is not None:
+            batched_trainer.train_round(
+                completed, np.full(P, epochs), round_idx, starts, starts,
+                units=units,
+            )
+            return [row.copy() for row in starts]
+        trainer = fleet.trainer
+        return [
+            trainer.train(
+                starts[p], fleet.shard(dev_id), epochs,
+                stream_key=(dev_id, round_idx, unit),
+            )[0]
+            for p, (dev_id, unit) in enumerate(zip(completed, units))
+        ]
 
 
 def async_upload_schedule(

@@ -1,12 +1,12 @@
 """Batched vs sequential training at the experiment level.
 
 ``device_batching`` is an execution strategy, not a semantic knob: for every
-FedAvg-family method, environment and codec combination, ``"auto"`` must
-reproduce ``"off"``'s run to 1e-12 (bitwise on BLAS builds whose
-stacked-GEMM slices are exact — the common case, probed by
-tests/nn/test_batched_sequential.py).  Methods the engine cannot batch
-(per-event async, ring topologies, CNN models) silently keep the
-sequential path.
+FedAvg-family method and FedHiSyn's ring engine, under every environment and
+codec combination, ``"auto"`` must reproduce ``"off"``'s run to 1e-12
+(bitwise on BLAS builds whose stacked-GEMM slices are exact — the common
+case, probed by the ``stacked_gemm_bitwise`` fixture).  Callers the engine
+does not batch (FedAT, TAFedAvg, per-event async) and CNN models silently
+keep the sequential path.
 """
 
 import json
@@ -66,6 +66,65 @@ def test_topk_codec(method):
         method=method, env="wan", codec="topk", codec_kwargs={"fraction": 0.2}
     )
     _assert_equivalent(auto, off)
+
+
+def _fedhisyn_pair(**overrides):
+    """(auto, off) as ``(server, result)`` for one FedHiSyn spec point."""
+    runs = []
+    for mode in ("auto", "off"):
+        spec = ExperimentSpec(
+            **{**BASE, "method": "fedhisyn", **overrides}, device_batching=mode
+        )
+        server = build_experiment(spec)
+        runs.append((server, server.fit()))
+    return runs
+
+
+@pytest.mark.parametrize("combine", ["direct", "average"])
+@pytest.mark.parametrize(
+    "env",
+    [
+        dict(env="ideal"),
+        dict(env="wan"),
+        # Lossy enough that broadcasts and ring hops drop: per-device dict
+        # start models, retained fleet storage, engine drop draws.
+        dict(env="wan", env_kwargs={"drop_prob": 0.3}),
+    ],
+    ids=["ideal", "wan", "peer_drop"],
+)
+def test_fedhisyn_ring_engine(combine, env, stacked_gemm_bitwise):
+    (auto_srv, auto), (off_srv, off) = _fedhisyn_pair(
+        **env, method_kwargs={"num_classes": 2, "combine": combine}
+    )
+    assert auto_srv.batched_trainer is not None
+    assert off_srv.batched_trainer is None
+    _assert_equivalent(auto, off)
+    if stacked_gemm_bitwise:
+        np.testing.assert_array_equal(auto.final_weights, off.final_weights)
+    assert auto_srv.last_round_stats == off_srv.last_round_stats
+    assert auto_srv.engine.dropped_sends == off_srv.engine.dropped_sends
+    if env.get("env_kwargs"):
+        assert auto_srv.fleet.retain_history
+        assert auto_srv.engine.dropped_sends > 0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(
+            env="wan", codec="topk", codec_kwargs={"fraction": 0.2},
+            method_kwargs={"num_classes": 2},
+        ),
+        dict(method_kwargs={"num_classes": 3, "aggregation": "class_time"}),
+    ],
+    ids=["topk", "class_time"],
+)
+def test_fedhisyn_codec_and_aggregation(overrides, stacked_gemm_bitwise):
+    (auto_srv, auto), (off_srv, off) = _fedhisyn_pair(**overrides)
+    _assert_equivalent(auto, off)
+    if stacked_gemm_bitwise:
+        np.testing.assert_array_equal(auto.final_weights, off.final_weights)
+    assert auto_srv.last_round_stats == off_srv.last_round_stats
 
 
 def test_fedprox_anchor_is_exercised():

@@ -80,3 +80,22 @@ def homogeneous_devices(tiny_split, tiny_trainer):
     train_set, _ = tiny_split
     parts = iid_partition(train_set, 6, seed=6)
     return make_fleet(train_set, parts, np.ones(6), tiny_trainer)
+
+
+@pytest.fixture(scope="session")
+def stacked_gemm_bitwise() -> bool:
+    """Does this BLAS compute stacked-matmul slices exactly like 2-D GEMMs?
+
+    Where it does, the batched training engine must be bitwise equal to the
+    sequential one (DESIGN.md §15); elsewhere the 1e-12 contract applies.
+    """
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3, 7, 5))
+    w = rng.normal(size=(3, 5, 4))
+    stacked = np.matmul(x, w)
+    back = np.matmul(x.transpose(0, 2, 1), stacked)
+    return all(
+        np.array_equal(stacked[i], x[i] @ w[i])
+        and np.array_equal(back[i], x[i].T @ stacked[i])
+        for i in range(3)
+    )

@@ -1,14 +1,18 @@
 """BatchedTrainer: one round of cohort-stacked local SGD vs LocalTrainer.
 
 Every test trains the same devices twice — sequentially through
-``LocalTrainer.train`` with the canonical ``(device_id, round_idx, 0)``
+``LocalTrainer.train`` with the canonical ``(device_id, round_idx, unit)``
 stream keys, and in one ``BatchedTrainer.train_round`` call — and demands
 agreement to 1e-12 (bitwise on BLAS builds whose stacked-GEMM slices are
-exact; see tests/nn/test_batched_sequential.py for the canary).
+exact; see the ``stacked_gemm_bitwise`` probe in tests/conftest.py).
 """
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.partition import partition_by_name
 from repro.datasets.synthetic import mnist_like
@@ -142,7 +146,90 @@ class TestTrainRound:
         assert not np.any(out[1] == -1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_substrate():
+    """One substrate for the property test (hypothesis reruns the body)."""
+    return _substrate()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, NUM_DEVICES - 1),  # device id
+            st.integers(1, 3),  # epochs
+            st.integers(0, 6),  # unit index
+        ),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda row: row[0],
+    ),
+    round_idx=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_per_row_starts_and_units_match_sequential(rows, round_idx, seed):
+    """A ``(P, dim)`` start matrix with per-row ``units`` trains every row
+    exactly like ``LocalTrainer.train`` from that row's start model on
+    the ``(device_id, round_idx, unit)`` stream."""
+    trainer, fleet, w0 = _shared_substrate()
+    ids = np.array([r[0] for r in rows])
+    epochs = np.array([r[1] for r in rows])
+    units = np.array([r[2] for r in rows])
+    rng = np.random.default_rng(seed)
+    starts = w0 + 0.05 * rng.normal(size=(len(rows), trainer.dim))
+    got = np.empty_like(starts)
+    got_steps = BatchedTrainer(trainer, fleet).train_round(
+        ids, epochs, round_idx, starts, got, units=units
+    )
+    want = np.empty_like(starts)
+    for i, (dev_id, e, unit) in enumerate(rows):
+        _, steps = trainer.train(
+            starts[i], fleet.shard(dev_id), e,
+            stream_key=(dev_id, round_idx, unit), out=want[i],
+        )
+        assert got_steps[i] == steps
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestPerRowStarts:
+    def test_in_place_out_equals_separate_out(self):
+        # The ring engine trains its start block in place.
+        trainer, fleet, w0 = _substrate()
+        bt = BatchedTrainer(trainer, fleet)
+        ids = np.arange(NUM_DEVICES)
+        epochs = 1 + ids % 2  # several cohorts share the block
+        starts = w0 + 0.01 * np.arange(NUM_DEVICES)[:, None]
+        separate = np.empty_like(starts)
+        bt.train_round(ids, epochs, 2, starts, separate, units=ids % 3)
+        in_place = starts.copy()
+        bt.train_round(ids, epochs, 2, in_place, in_place, units=ids % 3)
+        np.testing.assert_array_equal(in_place, separate)
+
+
 class TestValidation:
+    @pytest.mark.parametrize("shape", ["short", "extra_row", "3d"])
+    def test_rejects_misshapen_weights(self, shape):
+        trainer, fleet, w0 = _substrate()
+        bt = BatchedTrainer(trainer, fleet)
+        ids = np.array([0, 1])
+        weights = {
+            "short": w0[:-1],
+            "extra_row": np.tile(w0, (3, 1)),
+            "3d": np.tile(w0, (2, 1, 1)),
+        }[shape]
+        out = np.empty((2, trainer.dim))
+        with pytest.raises(ValueError, match="weights must have shape"):
+            bt.train_round(ids, np.array([1, 1]), 1, weights, out=out)
+
+    def test_rejects_units_of_wrong_length(self):
+        trainer, fleet, w0 = _substrate()
+        bt = BatchedTrainer(trainer, fleet)
+        out = np.empty((2, trainer.dim))
+        with pytest.raises(ValueError, match="units must have one entry per id"):
+            bt.train_round(
+                np.array([0, 1]), np.array([1, 1]), 1, w0, out=out, units=[0]
+            )
+
     def test_rejects_nonpositive_epochs(self):
         trainer, fleet, w0 = _substrate()
         bt = BatchedTrainer(trainer, fleet)

@@ -148,21 +148,7 @@ class TestEquivalence:
         np.testing.assert_array_equal(grad, first)
 
 
-def _stacked_gemm_is_bitwise() -> bool:
-    """Does this BLAS compute stacked-matmul slices exactly like 2-D GEMMs?"""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(3, 7, 5))
-    w = rng.normal(size=(3, 5, 4))
-    stacked = np.matmul(x, w)
-    back = np.matmul(x.transpose(0, 2, 1), stacked)
-    return all(
-        np.array_equal(stacked[i], x[i] @ w[i])
-        and np.array_equal(back[i], x[i].T @ stacked[i])
-        for i in range(3)
-    )
-
-
-def test_bitwise_identity_where_blas_delivers_it():
+def test_bitwise_identity_where_blas_delivers_it(stacked_gemm_bitwise):
     """The documented divergence policy, made executable.
 
     When the stacked-GEMM primitive is bitwise on this platform (probed
@@ -170,7 +156,7 @@ def test_bitwise_identity_where_blas_delivers_it():
     contract (covered above) applies and this canary records the fact by
     skipping.
     """
-    if not _stacked_gemm_is_bitwise():
+    if not stacked_gemm_bitwise:
         pytest.skip(
             "this BLAS computes stacked-GEMM slices with different "
             "instruction selection; the 1e-12 contract applies"
